@@ -26,6 +26,7 @@ import pytest
 from repro.analysis.closure import global_resource_matrix
 from repro.analysis.flowgraph import FlowGraph
 from repro.analysis.local_deps import local_resource_matrix
+from repro.analysis.resource_matrix import base_resource
 from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
@@ -49,6 +50,7 @@ from repro.hier import (
     link_hierarchy,
     summary_cache_key,
 )
+from repro.security.policy import TwoLevelPolicy, check_policy
 from repro.vhdl.elaborate import elaborate, elaborate_source
 from repro.vhdl.parser import parse_program
 from repro.workloads import (
@@ -211,6 +213,54 @@ def test_flow_graph_backend(benchmark, report, cold_closure_inputs, backend):
         backend=backend,
         selected=bitset.backend_for("flow_graph"),
         graph_edges=graph.edge_count(),
+    )
+
+
+# ---------------------------------------------------------------- policy check
+#
+# The report stage's policy check on the improved 32×128 chain graph, under
+# a two-level policy.  ``direct`` and ``transitive`` make ``chain_in``
+# secret.  Channel-control mode masks each predecessor row with its level's
+# forbidden set and decodes only the violations; transitive mode adds the
+# successor transpose, one reach walk per secret node and one witness BFS
+# per violating source.  ``transitive_wide`` makes every resource but
+# ``chain_in`` secret, so every node but ``chain_in``'s may not flow into
+# it: with that many sources ``FlowGraph.reach_bits`` condenses the graph
+# instead of walking from each one.  The two transitive cases sit on either
+# side of that choice.  Each round gets a fresh graph object over the same
+# bitsets, so the transpose a transitive round caches on its graph is paid
+# again by the next round.
+
+
+@pytest.fixture(scope="module")
+def cold_flow_graph(cold_source):
+    return analyze_design(elaborate_source(cold_source), improved=True).graph
+
+
+@pytest.mark.parametrize("mode", ["direct", "transitive", "transitive_wide"])
+def test_policy_check(benchmark, report, cold_flow_graph, mode):
+    """``check_policy`` on the 32×128 flow graph, in one checking mode."""
+    graph = cold_flow_graph
+    predecessors = graph.predecessor_map()
+    if mode == "transitive_wide":
+        secrets = {base_resource(node) for node in graph.nodes} - {"chain_in"}
+    else:
+        secrets = {"chain_in"}
+    policy = TwoLevelPolicy(secret_resources=sorted(secrets))
+
+    def run():
+        fresh = FlowGraph(graph.universe, graph.node_bits, predecessors=predecessors)
+        return check_policy(fresh, policy, transitive=mode != "direct")
+
+    violations = benchmark(run)
+    # Nothing flows back into the input port; the chain_in cases find the
+    # flows out of it.
+    assert bool(violations) == (mode != "transitive_wide")
+    report(
+        shape=COLD_SHAPE,
+        mode=mode,
+        graph_edges=graph.edge_count(),
+        violations=len(violations),
     )
 
 

@@ -67,6 +67,18 @@ def _transpose(adjacency: Adjacency) -> Adjacency:
     return reversed_map
 
 
+def _walk(adjacency: Adjacency, pending: int) -> int:
+    """Every node in the bitset ``pending`` or reachable from it along
+    ``adjacency`` (a bitset worklist)."""
+    reached = 0
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        reached |= low
+        pending |= adjacency.get(low.bit_length() - 1, 0) & ~reached
+    return reached
+
+
 def _drop_self_loops(adjacency: Adjacency) -> Adjacency:
     """The adjacency map with every ``n → n`` bit cleared."""
     result: Adjacency = {}
@@ -140,21 +152,36 @@ class FlowGraph:
         self._pred: Optional[Adjacency] = predecessors
         self._edges_cache: Optional[FrozenSet[Edge]] = None
 
-    def _successor_map(self) -> Adjacency:
+    # -- bitset views (read-only: callers must not mutate what they get) ------
+
+    @property
+    def universe(self) -> FactUniverse:
+        """The interner mapping node names to bit positions."""
+        return self._universe
+
+    @property
+    def node_bits(self) -> int:
+        """The node set as a bitset over :attr:`universe`."""
+        return self._node_bits
+
+    def successor_map(self) -> Adjacency:
         """``source index → successor bitset`` (transposed on first use)."""
         if self._succ is None:
             self._succ = _transpose(self._pred)
         return self._succ
 
-    def _predecessor_map(self) -> Adjacency:
+    def predecessor_map(self) -> Adjacency:
         """``target index → predecessor bitset`` (transposed on first use)."""
         if self._pred is None:
             self._pred = _transpose(self._succ)
         return self._pred
 
-    def _any_map(self) -> Adjacency:
-        """Whichever adjacency direction is already materialised."""
-        return self._succ if self._succ is not None else self._pred
+    def adjacency(self) -> Tuple[bool, Adjacency]:
+        """``(forward, map)`` for whichever direction is already materialised:
+        the successor map when ``forward``, else the predecessor map."""
+        if self._succ is not None:
+            return True, self._succ
+        return False, self._pred
 
     # -- construction ---------------------------------------------------------
 
@@ -316,7 +343,7 @@ class FlowGraph:
                     return self._succ == other._succ
                 if self._pred is not None and other._pred is not None:
                     return self._pred == other._pred
-                return self._successor_map() == other._successor_map()
+                return self.successor_map() == other.successor_map()
             return self.nodes == other.nodes and self.edges == other.edges
         return NotImplemented
 
@@ -344,7 +371,7 @@ class FlowGraph:
         if node not in universe:
             return frozenset()
         return universe.decode(
-            self._successor_map().get(universe.index_of(node), 0)
+            self.successor_map().get(universe.index_of(node), 0)
         )
 
     def predecessors(self, node: str) -> FrozenSet[str]:
@@ -353,7 +380,7 @@ class FlowGraph:
         if node not in universe:
             return frozenset()
         return universe.decode(
-            self._predecessor_map().get(universe.index_of(node), 0)
+            self.predecessor_map().get(universe.index_of(node), 0)
         )
 
     def targets(self) -> FrozenSet[str]:
@@ -368,7 +395,7 @@ class FlowGraph:
 
     def edge_count(self) -> int:
         """Number of edges."""
-        return sum(bits.bit_count() for bits in self._any_map().values())
+        return sum(bits.bit_count() for bits in self.adjacency()[1].values())
 
     def node_count(self) -> int:
         """Number of nodes."""
@@ -376,16 +403,27 @@ class FlowGraph:
 
     # -- reachability and closure --------------------------------------------------
 
-    def _reach_bits(self) -> Dict[int, int]:
+    def reach_bits(self, sources: Optional[int] = None) -> Dict[int, int]:
         """Per-node bitsets of everything reachable along one or more edges.
 
         Computed over the SCC condensation (iterative Tarjan, shared with the
         Resource Matrix closure), ORing whole bitsets along the component DAG
         — the bitset form of the paper's "cubic time reachability analysis".
+        ``sources`` (a node bitset) names the nodes whose reach the caller
+        needs; when they are under half the nodes, each gets its own bitset
+        walk instead.  Condensing costs as much as one walk from each of 54%
+        to 113% of the nodes on the chain and register-file designs measured
+        in ``docs/performance.md`` (section "Policy check"), so walks win
+        below that cut-off.
         """
         from repro.analysis.closure import _strongly_connected_components
 
-        successors = self._successor_map()
+        successors = self.successor_map()
+        if sources is not None and 2 * sources.bit_count() < self.node_count():
+            return {
+                index: _walk(successors, successors.get(index, 0))
+                for index in bit_indices(sources)
+            }
         indexed_edges = {
             index: tuple(bit_indices(bits)) for index, bits in successors.items()
         }
@@ -412,18 +450,27 @@ class FlowGraph:
         universe = self._universe
         if node not in universe:
             return frozenset({node}) if include_start else frozenset()
-        successors = self._successor_map()
-        reached = 0
-        pending = successors.get(universe.index_of(node), 0)
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            reached |= low
-            pending |= successors.get(low.bit_length() - 1, 0) & ~reached
-        result = universe.decode(reached)
+        successors = self.successor_map()
+        result = universe.decode(
+            _walk(successors, successors.get(universe.index_of(node), 0))
+        )
         if include_start:
             result |= {node}
         return result
+
+    def reaching(self, targets: Iterable[str]) -> FrozenSet[str]:
+        """All nodes with a path of one or more edges into any of ``targets``.
+
+        The backward counterpart of :meth:`reachable_from` for a whole node
+        set at once: one bitset worklist over the predecessor map.
+        """
+        universe = self._universe
+        predecessors = self.predecessor_map()
+        pending = 0
+        for name in targets:
+            if name in universe:
+                pending |= predecessors.get(universe.index_of(name), 0)
+        return universe.decode(_walk(predecessors, pending))
 
     def flows_to(self, source: str, target: str) -> bool:
         """True when there is a (possibly indirect) path ``source → … → target``."""
@@ -432,7 +479,7 @@ class FlowGraph:
     def transitive_closure(self) -> "FlowGraph":
         """The transitive closure (the essence of Kemmerer's method)."""
         closure = {
-            index: bits for index, bits in self._reach_bits().items() if bits
+            index: bits for index, bits in self.reach_bits().items() if bits
         }
         return FlowGraph(self._universe, self._node_bits, successors=closure)
 
@@ -446,7 +493,7 @@ class FlowGraph:
         the predecessor direction, ``pred(a) ⊆ pred(b)``; whichever map is
         already materialised is used.
         """
-        adjacency = self._any_map()
+        adjacency = self.adjacency()[1]
         for bits in adjacency.values():
             two_step = 0
             for neighbour in bit_indices(bits):
@@ -584,7 +631,7 @@ class FlowGraph:
         """Adjacency-list rendering with sorted successor lists."""
         universe = self._universe
         index_of = universe.index_of
-        successors = self._successor_map()
+        successors = self.successor_map()
         return {
             node: sorted(universe.decode_iter(successors.get(index_of(node), 0)))
             for node in sorted(universe.decode_iter(self._node_bits))

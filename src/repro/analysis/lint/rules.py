@@ -172,14 +172,15 @@ class DeadProcessRule(LintRule):
         graph = analysis.graph
         port_nodes: Set[str] = set(ports)
         port_nodes.update(outgoing_node(port) for port in ports)
+        # One backward walk: every node with a path into an output port.
+        live = port_nodes | graph.reaching(port_nodes)
         for process in design.processes:
             written = sorted(ast.written_signals(process.body))
-            reach: Set[str] = set()
-            for signal in written:
-                for node in (signal, outgoing_node(signal)):
-                    if graph.has_node(node):
-                        reach |= graph.reachable_from(node, include_start=True)
-            if reach & port_nodes:
+            if any(
+                node in live and graph.has_node(node)
+                for signal in written
+                for node in (signal, outgoing_node(signal))
+            ):
                 continue
             yield self.diagnostic(
                 f"process '{process.name}' writes "

@@ -25,6 +25,10 @@ The injectable faults:
 ``crash``
     Hard-exit the worker process (``os._exit``) before the analysis runs,
     simulating an OOM kill / segfault mid-request.
+``fail``
+    Raise :class:`InjectedFault` before the analysis runs, simulating a bug
+    inside the analysis: the request is answered with a ``500`` document
+    while the worker lives on.
 ``corrupt_cache_reads``
     Truncate the on-disk cache entry for a key *just before* it is read, so
     every disk hit exercises :class:`~repro.pipeline.cache.DiskArtifactCache`'s
@@ -52,6 +56,10 @@ FAULTS_ENV = "VHDL_IFA_FAULTS"
 CRASH_EXIT_CODE = 70
 
 
+class InjectedFault(RuntimeError):
+    """The exception a ``fail`` plan raises inside an analysis."""
+
+
 @dataclass
 class FaultPlan:
     """Which faults to inject, and when they trigger.
@@ -62,13 +70,16 @@ class FaultPlan:
 
     delay_seconds: float = 0.0
     crash: bool = False
+    fail: bool = False
     corrupt_cache_reads: bool = False
     match: Optional[str] = None
     once: bool = False
 
     def is_active(self) -> bool:
         """True when the plan injects anything at all."""
-        return bool(self.delay_seconds or self.crash or self.corrupt_cache_reads)
+        return bool(
+            self.delay_seconds or self.crash or self.fail or self.corrupt_cache_reads
+        )
 
     def to_env(self) -> str:
         """The JSON form to place in :data:`FAULTS_ENV` for child processes."""
@@ -76,6 +87,7 @@ class FaultPlan:
             {
                 "delay_seconds": self.delay_seconds,
                 "crash": self.crash,
+                "fail": self.fail,
                 "corrupt_cache_reads": self.corrupt_cache_reads,
                 "match": self.match,
                 "once": self.once,
@@ -97,7 +109,8 @@ class FaultPlan:
             if not isinstance(payload, dict):
                 return None
             known = {name: payload[name] for name in (
-                "delay_seconds", "crash", "corrupt_cache_reads", "match", "once"
+                "delay_seconds", "crash", "fail", "corrupt_cache_reads", "match",
+                "once",
             ) if name in payload}
             return cls(**known)
         except (ValueError, TypeError):
@@ -127,8 +140,8 @@ class FaultInjector:
         return True
 
     def before_analysis(self, trigger_text: str = "") -> None:
-        """Inject delay and/or crash just before an analysis runs."""
-        if not (self.plan.delay_seconds or self.plan.crash):
+        """Inject delay, crash and/or failure just before an analysis runs."""
+        if not (self.plan.delay_seconds or self.plan.crash or self.plan.fail):
             return
         if not self._triggers(trigger_text):
             return
@@ -138,6 +151,8 @@ class FaultInjector:
             # A hard exit, not an exception: the point is to simulate the
             # worker being killed out from under the supervisor.
             os._exit(CRASH_EXIT_CODE)
+        if self.plan.fail:
+            raise InjectedFault("injected analysis failure")
 
     def wrap_cache(self, cache: Any) -> Any:
         """Wrap ``cache`` so disk reads hit corrupted entry files.

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.pipeline.faults import FaultInjector, FaultPlan
+from repro.pipeline.render import response_body
 
 #: Spawned, not forked: safe under threads, and a clean slate per worker.
 _CTX = multiprocessing.get_context("spawn")
@@ -45,13 +46,15 @@ _STOP_GRACE = 2.0
 class PoolResult:
     """The outcome of one pooled request — never an exception.
 
-    ``status``/``document`` are the HTTP answer the server relays.
+    ``status``/``body`` are the HTTP answer the server relays, the body
+    already encoded by :func:`repro.pipeline.render.response_body`.
     ``timed_out``/``crashed`` record the fault (the worker was recycled);
-    ``meta`` is the worker's self-report (cache counters, fault triggers).
+    ``meta`` is the worker's self-report (cache counters, fault triggers,
+    and the document's stage ``timings``).
     """
 
     status: int
-    document: Dict[str, Any]
+    body: bytes
     worker: int = -1
     timed_out: bool = False
     crashed: bool = False
@@ -67,9 +70,13 @@ def _worker_main(
     """One worker: build a workspace once, answer requests until EOF.
 
     The request protocol is ``(kind, request_dict)`` in,
-    ``(status, document, meta)`` out; ``None`` in means drain and exit.
-    Analysis errors are classified here exactly as the inline server path
-    classifies them, so pooled responses are byte-identical to inline ones.
+    ``(status, body, meta)`` out; ``None`` in means drain and exit.  The
+    worker encodes the response body itself, so the server's event loop only
+    relays bytes; the document's ``timings`` ride along in ``meta`` for the
+    server's latency histograms.  Analysis errors are classified here exactly
+    as the inline server path classifies them, and both modes encode with
+    :func:`~repro.pipeline.render.response_body`, so pooled responses are
+    byte-identical to inline ones.
     """
     # Imported here: the worker entry point must be importable by the spawn
     # machinery without dragging the whole toolchain in at module level.
@@ -91,7 +98,12 @@ def _worker_main(
             break
         kind, request = message
         status, document = execute_request(workspace, kind, request, injector)
-        meta: Dict[str, Any] = {"pid": os.getpid(), "faults_fired": injector.fired}
+        body = response_body(document)
+        meta: Dict[str, Any] = {
+            "pid": os.getpid(),
+            "faults_fired": injector.fired,
+            "timings": document.get("timings"),
+        }
         if workspace.cache is not None:
             stats = workspace.cache.stats()
             meta["cache"] = {
@@ -99,7 +111,7 @@ def _worker_main(
                 "misses": stats.get("misses", 0),
             }
         try:
-            conn.send((status, document, meta))
+            conn.send((status, body, meta))
         except (BrokenPipeError, OSError):
             break
 
@@ -148,7 +160,7 @@ class WorkerHandle:
 
     def call(
         self, message: Any, timeout: Optional[float]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, Any]]:
+    ) -> Tuple[int, bytes, Dict[str, Any]]:
         """Round-trip one request; raises :class:`WorkerTimeout` /
         :class:`WorkerCrash` after recycling the worker."""
         try:
@@ -255,36 +267,40 @@ class WorkerPool:
         thread, not the event loop)."""
         if self._stopped.is_set():
             return PoolResult(
-                status=503, document={"error": "server is shutting down"}
+                status=503, body=response_body({"error": "server is shutting down"})
             )
         handle = self._free.get()
         try:
             try:
-                status, document, meta = handle.call((kind, request), self.timeout)
+                status, body, meta = handle.call((kind, request), self.timeout)
                 return PoolResult(
-                    status=status, document=document, worker=handle.index, meta=meta
+                    status=status, body=body, worker=handle.index, meta=meta
                 )
             except WorkerTimeout:
                 return PoolResult(
                     status=504,
-                    document={
-                        "error": (
-                            f"analysis exceeded the {self.timeout:g}s request "
-                            "budget; the worker was recycled"
-                        )
-                    },
+                    body=response_body(
+                        {
+                            "error": (
+                                f"analysis exceeded the {self.timeout:g}s "
+                                "request budget; the worker was recycled"
+                            )
+                        }
+                    ),
                     worker=handle.index,
                     timed_out=True,
                 )
             except WorkerCrash:
                 return PoolResult(
                     status=500,
-                    document={
-                        "error": (
-                            "analysis worker died mid-request; "
-                            "the worker was recycled"
-                        )
-                    },
+                    body=response_body(
+                        {
+                            "error": (
+                                "analysis worker died mid-request; "
+                                "the worker was recycled"
+                            )
+                        }
+                    ),
                     worker=handle.index,
                     crashed=True,
                 )

@@ -326,6 +326,16 @@ def json_text(document: Dict[str, Any]) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False)
 
 
+def response_body(document: Dict[str, Any]) -> bytes:
+    """The ``vhdl-ifa serve`` response body of ``document``.
+
+    The stamped :func:`json_text` plus a trailing newline, UTF-8 encoded —
+    the one response encoder, called by the inline server on its event loop
+    and by each pool worker before its reply crosses the pipe.
+    """
+    return (json_text(stamped(document)) + "\n").encode("utf-8")
+
+
 def schema_v1() -> Dict[str, Any]:
     """The machine-readable description of every ``vhdl-ifa/v1`` document.
 

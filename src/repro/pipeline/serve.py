@@ -22,8 +22,14 @@ analysis itself runs in one of two modes:
       with ``429`` and a ``Retry-After`` header, never queued unboundedly;
     * **single-flight deduplication** — identical concurrent requests (same
       content-addressed source digest, options, file label and policy) share
-      ONE analysis: followers await the leader's result and each gets its own
-      response (the ``dedup_hits`` counter counts the coalesced requests).
+      ONE analysis: followers await the leader's result and are sent its
+      response bytes (the ``dedup_hits`` counter counts the coalesced
+      requests).
+
+    Workers encode their replies (:func:`repro.pipeline.render.response_body`)
+    and send the body bytes over the pipe, so the event loop never
+    serialises a pooled document; the document's stage ``timings`` travel
+    beside the bytes for the ``/metrics`` histograms.
 
 **inline mode** (``workers=None``, the embedding/test default)
     Analysis runs synchronously on the event loop, serialising requests —
@@ -42,7 +48,8 @@ Endpoints
     As documented in ``docs/cli.md`` and ``docs/serve.md``; analyze/check/
     lint response bodies are byte-identical to ``vhdl-ifa analyze --json`` /
     ``check --json`` / ``lint --json`` in both execution modes (worker and
-    inline paths share :func:`execute_request` and the render builders).
+    inline paths share :func:`execute_request`, the render builders and
+    the one encoder, :func:`repro.pipeline.render.response_body`).
 ``GET /healthz``
     Liveness: ``200`` while serving, ``503`` while draining; worker counts.
 ``GET /metrics``
@@ -65,7 +72,7 @@ import json
 import signal
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.pipeline.cache import source_digest
@@ -73,8 +80,8 @@ from repro.pipeline.faults import FaultInjector, FaultPlan
 from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     analyze_document,
-    json_text,
     policy_summary,
+    response_body,
     stamped,
     version_document,
 )
@@ -102,6 +109,10 @@ DEFAULT_QUEUE_DEPTH = 64
 LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 _REQUEST_ERRORS = (ReproError, OSError, UnicodeDecodeError)
+
+#: A response as handed to ``_respond``: a document to encode, or the body
+#: a pool worker already encoded with the same ``render.response_body``.
+_Answer = Union[bytes, Dict[str, Any]]
 
 #: The pooled analysis endpoints (path → request kind).
 _ANALYSIS_PATHS = {"/analyze": "analyze", "/check": "check", "/lint": "lint"}
@@ -355,10 +366,10 @@ class AnalysisServer:
             except _BadRequest as error:
                 await self._respond(writer, error.status, {"error": str(error)})
                 return
-            status, document, headers = await self._answer(method, path, body)
+            status, answer, headers = await self._answer(method, path, body)
             headers = dict(headers)
             headers.setdefault("X-Interaction-Id", interaction_id(method, path, body))
-            await self._respond(writer, status, document, headers)
+            await self._respond(writer, status, answer, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing to answer
         finally:
@@ -410,11 +421,14 @@ class AnalysisServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        document: Dict[str, Any],
+        answer: _Answer,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        # Every body carries the schema stamp — including error documents.
-        body = (json_text(stamped(document)) + "\n").encode("utf-8")
+        # Pooled analysis answers arrive already encoded by their worker;
+        # everything else is encoded here.  Both go through
+        # render.response_body, so every body carries the schema stamp —
+        # including error documents.
+        body = answer if isinstance(answer, bytes) else response_body(answer)
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (headers or {}).items()
         )
@@ -433,7 +447,7 @@ class AnalysisServer:
 
     async def _answer(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, _Answer, Dict[str, str]]:
         """Route one request; analysis goes through the pool when one runs."""
         if self._pool is not None and path in _ANALYSIS_PATHS and method == "POST":
             route = f"{method} {path}"
@@ -541,7 +555,9 @@ class AnalysisServer:
             request["policy"] = None if spec is None else self.workspace.policy(spec)
             return request
         outputs = payload.get("output", [])
-        if not isinstance(outputs, list):
+        if not isinstance(outputs, list) or not all(
+            isinstance(name, str) for name in outputs
+        ):
             raise _BadRequest("'output' must be a list of resource names")
         transitive = payload.get("transitive")
         request.update(
@@ -572,7 +588,9 @@ class AnalysisServer:
             return self.workspace.policy(spec)
         if secrets is None:
             secrets = []
-        if not isinstance(secrets, list):
+        if not isinstance(secrets, list) or not all(
+            isinstance(name, str) for name in secrets
+        ):
             raise _BadRequest("'secret' must be a list of resource names")
         return TwoLevelPolicy(secret_resources=secrets)
 
@@ -582,7 +600,7 @@ class AnalysisServer:
         Built on the same content address the artifact cache keys by (the
         source digest) plus every input that shapes the response document —
         two requests with equal keys are guaranteed byte-identical answers,
-        so the leader's document can safely serve every follower.
+        so the leader's response bytes can safely serve every follower.
         """
         identity = {
             key: value
@@ -599,7 +617,7 @@ class AnalysisServer:
 
     async def _handle_pooled(
         self, kind: str, payload: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, _Answer, Dict[str, str]]:
         """Admission control, single-flight dedup, and pool dispatch."""
         try:
             request = self._build_request(kind, payload)
@@ -615,8 +633,8 @@ class AnalysisServer:
             # shield() keeps a follower's disconnect from cancelling the
             # leader's future (other followers may still be waiting on it).
             self._counters["dedup_hits"] += 1
-            status, document = await asyncio.shield(leader)
-            return status, document, {}
+            status, answer = await asyncio.shield(leader)
+            return status, answer, {}
 
         if self._admitted >= self.queue_depth:
             self._counters["shed"] += 1
@@ -643,7 +661,7 @@ class AnalysisServer:
                 self._executor, self._pool.run, kind, request
             )
             self._note_pool_result(result, time.perf_counter() - started)
-            outcome = (result.status, result.document)
+            outcome = (result.status, result.body)
         except Exception as error:  # supervisor bug — still answer the client
             outcome = (500, {"error": f"internal error: {error!r}"})
         finally:
@@ -663,11 +681,11 @@ class AnalysisServer:
         if result.worker >= 0 and result.meta:
             self._worker_meta[result.worker] = result.meta
         if result.status == 200:
-            self._observe_latencies(elapsed, result.document)
+            self._observe_latencies(elapsed, result.meta.get("timings"))
 
-    def _observe_latencies(self, elapsed: float, document: Dict[str, Any]) -> None:
+    def _observe_latencies(self, elapsed: float, timings: Any) -> None:
+        """Record one answered request and its document's stage ``timings``."""
         self._request_latency.observe(elapsed)
-        timings = document.get("timings")
         if isinstance(timings, dict):
             for stage, seconds in timings.items():
                 histogram = self._stage_latency.get(stage)
@@ -686,7 +704,9 @@ class AnalysisServer:
             self.workspace, kind, request, self._injector
         )
         if status == 200:
-            self._observe_latencies(time.perf_counter() - started, document)
+            self._observe_latencies(
+                time.perf_counter() - started, document.get("timings")
+            )
         return status, document
 
     # -------------------------------------------------------------- handlers

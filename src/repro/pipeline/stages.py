@@ -45,7 +45,7 @@ closure    entity, loop_processes, use_under_approximation, improved
 flow_graph entity, loop_processes, use_under_approximation, improved
 lint       entity, loop_processes, use_under_approximation, improved
 kemmerer   entity, loop_processes
-report     never cached (cheap, policy-dependent)
+report     never cached (depends on the policy; a bitset pass over the graph)
 ========== ==========================================================
 
 The ``lint`` stage caches the *complete* rule catalog's findings at default

@@ -10,11 +10,13 @@ noninterference style).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.flowgraph import FlowGraph
 from repro.analysis.resource_matrix import base_resource
+from repro.dataflow.universe import bit_indices
 from repro.errors import PolicyError
 
 
@@ -127,59 +129,130 @@ def check_policy(
     With ``transitive=False`` (the default, matching the non-transitive reading
     of the paper's result graph) only direct edges are checked; with
     ``transitive=True`` every path is considered — each violating pair is
-    reported once with a witness path.  ``restrict_to`` optionally limits the
-    endpoints considered (e.g. to ports only).
+    reported once with a shortest witness path.  ``restrict_to`` optionally
+    limits the endpoints considered (e.g. to ports only).  Violations come
+    back ordered by ``(source, target)``.
+
+    The check runs on the graph's bitsets: ``policy.level_of`` is asked once
+    per node, each clearance gets the mask of the nodes it may not flow to,
+    and each adjacency row is ANDed with its node's mask, so only violating
+    edges are ever decoded to names.
     """
     if not isinstance(policy, FlowPolicy):
         raise PolicyError("check_policy expects a FlowPolicy")
+    universe = graph.universe
+    fact_of = universe.fact_of
+    forward, adjacency = graph.adjacency()
+    in_use = graph.node_bits
+    for index, bits in adjacency.items():
+        in_use |= bits | 1 << index
     interesting = set(restrict_to) if restrict_to is not None else None
-    violations: List[PolicyViolation] = []
-
-    def endpoint_ok(name: str) -> bool:
-        return interesting is None or base_resource(name) in interesting or name in interesting
-
-    if not transitive:
-        for source, target in sorted(graph.edges):
-            if source == target:
-                continue
-            if not (endpoint_ok(source) and endpoint_ok(target)):
-                continue
-            src_level = policy.level_of(source)
-            dst_level = policy.level_of(target)
-            if not policy.allows(src_level, dst_level):
-                violations.append(
-                    PolicyViolation(source, target, src_level, dst_level, (source, target))
-                )
-        return violations
-
-    for source in sorted(graph.nodes):
-        if not endpoint_ok(source):
+    level_at: Dict[int, Clearance] = {}
+    level_bits: Dict[Clearance, int] = {}
+    for index in bit_indices(in_use):
+        name = fact_of(index)
+        if not (
+            interesting is None
+            or name in interesting
+            or base_resource(name) in interesting
+        ):
             continue
-        src_level = policy.level_of(source)
-        for target in sorted(graph.reachable_from(source)):
-            if source == target or not endpoint_ok(target):
-                continue
-            dst_level = policy.level_of(target)
-            if not policy.allows(src_level, dst_level):
-                path = _witness_path(graph, source, target)
-                violations.append(
-                    PolicyViolation(source, target, src_level, dst_level, path)
+        level = level_at[index] = policy.level_of(name)
+        level_bits[level] = level_bits.get(level, 0) | 1 << index
+
+    def forbidden(outgoing: bool) -> Dict[Clearance, int]:
+        """Per clearance, the nodes it may not flow to (``outgoing``) or
+        receive from (otherwise)."""
+        masks: Dict[Clearance, int] = {}
+        for level in level_bits:
+            mask = 0
+            for other, bits in level_bits.items():
+                allowed = (
+                    policy.allows(level, other)
+                    if outgoing
+                    else policy.allows(other, level)
                 )
+                if not allowed:
+                    mask |= bits
+            masks[level] = mask
+        return masks
+
+    pairs: List[Tuple[int, int]] = []
+    if not transitive:
+        masks = forbidden(outgoing=forward)
+        for index, row in adjacency.items():
+            level = level_at.get(index)
+            if level is None:
+                continue
+            bad = row & masks[level] & ~(1 << index)
+            for other in bit_indices(bad):
+                pairs.append((index, other) if forward else (other, index))
+    else:
+        masks = forbidden(outgoing=True)
+        sources = 0
+        for level, bits in level_bits.items():
+            if masks[level]:
+                sources |= bits
+        sources &= graph.node_bits
+        reach = graph.reach_bits(sources)
+        for index in bit_indices(sources):
+            bad = reach.get(index, 0) & masks[level_at[index]] & ~(1 << index)
+            for other in bit_indices(bad):
+                pairs.append((index, other))
+
+    pairs.sort(key=lambda pair: (fact_of(pair[0]), fact_of(pair[1])))
+    paths = _witness_paths(graph, pairs) if transitive else {}
+    violations: List[PolicyViolation] = []
+    for source_index, target_index in pairs:
+        source, target = fact_of(source_index), fact_of(target_index)
+        violations.append(
+            PolicyViolation(
+                source,
+                target,
+                level_at[source_index],
+                level_at[target_index],
+                paths.get((source_index, target_index), (source, target)),
+            )
+        )
     return violations
 
 
-def _witness_path(graph: FlowGraph, source: str, target: str) -> Tuple[str, ...]:
-    """A shortest edge path from ``source`` to ``target`` (BFS)."""
-    from collections import deque
+def _witness_paths(
+    graph: FlowGraph, pairs: List[Tuple[int, int]]
+) -> Dict[Tuple[int, int], Tuple[str, ...]]:
+    """A shortest edge path for every ``(source, target)`` index pair.
 
-    queue = deque([(source, (source,))])
-    seen = {source}
-    while queue:
-        node, path = queue.popleft()
-        for successor in sorted(graph.successors(node)):
-            if successor == target:
-                return path + (successor,)
-            if successor not in seen:
-                seen.add(successor)
-                queue.append((successor, path + (successor,)))
-    return (source, target)
+    One breadth-first search per distinct source, recording each node's
+    discoverer and visiting successors in name order, so the path found is
+    the first shortest path in that order; the search stops once every
+    target of the source has been discovered.
+    """
+    fact_of = graph.universe.fact_of
+    successors = graph.successor_map()
+    ordered: Dict[int, List[int]] = {}
+    targets_of: Dict[int, Set[int]] = {}
+    for source, target in pairs:
+        targets_of.setdefault(source, set()).add(target)
+    paths: Dict[Tuple[int, int], Tuple[str, ...]] = {}
+    for source, targets in targets_of.items():
+        parent = {source: source}
+        pending = set(targets)
+        queue = deque([source])
+        while queue and pending:
+            node = queue.popleft()
+            following = ordered.get(node)
+            if following is None:
+                following = ordered[node] = sorted(
+                    bit_indices(successors.get(node, 0)), key=fact_of
+                )
+            for successor in following:
+                if successor not in parent:
+                    parent[successor] = node
+                    pending.discard(successor)
+                    queue.append(successor)
+        for target in targets:
+            chain = [target]
+            while chain[-1] != source:
+                chain.append(parent[chain[-1]])
+            paths[(source, target)] = tuple(fact_of(i) for i in reversed(chain))
+    return paths

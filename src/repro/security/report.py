@@ -171,15 +171,12 @@ def output_dependencies(result: AnalysisResult) -> Dict[str, List[str]]:
         sink = outgoing_node(output) if result.improved else output
         if not graph.has_node(sink):
             sink = output
-        direct_sources = graph.predecessors(sink)
-        sources: List[str] = []
-        for input_port in result.design.input_ports:
-            candidates = {input_port}
-            if result.improved:
-                candidates.add(incoming_node(input_port))
-            if candidates & set(direct_sources):
-                sources.append(input_port)
-        dependencies[output] = sorted(sources)
+        dependencies[output] = sorted(
+            input_port
+            for input_port in result.design.input_ports
+            if graph.has_edge(input_port, sink)
+            or (result.improved and graph.has_edge(incoming_node(input_port), sink))
+        )
     return dependencies
 
 

@@ -252,6 +252,115 @@ class TestSingleFlight:
             assert metrics["in_flight"] == 0
 
 
+class TestWorkerEncodedBodies:
+    """Pool workers encode response bodies; the server relays the bytes."""
+
+    #: One request per answer class: 200 documents of every analysis kind,
+    #: a 400 (parse error) and a 500 (an injected analysis failure, scoped
+    #: to the marked source) — all raised and encoded inside the worker in
+    #: pool mode.
+    REQUESTS = (
+        ("/analyze", {"source": workloads.challenge_f_program()}),
+        ("/check", {"source": workloads.challenge_f_program(), "secret": ["key"]}),
+        (
+            "/check",
+            {
+                "source": workloads.synthetic_chain_program(2, 8),
+                "secret": ["chain_in"],
+                "transitive": True,
+            },
+        ),
+        ("/lint", {"source": workloads.producer_consumer_program()}),
+        ("/analyze", {"source": "entity broken is"}),
+        (
+            "/check",
+            {"source": workloads.challenge_f_program() + "-- fail_marker\n"},
+        ),
+    )
+
+    #: Fails exactly the last request above, in either execution mode.
+    PLAN = FaultPlan(fail=True, match="fail_marker")
+
+    def _answers(self, server):
+        return [
+            _request(server.port, "POST", path, payload)[:2]
+            for path, payload in self.REQUESTS
+        ]
+
+    def test_pooled_bodies_equal_inline_bodies(self):
+        with ServerThread(AnalysisServer(port=0, faults=self.PLAN)) as server:
+            inline = self._answers(server)
+        with ServerThread(
+            AnalysisServer(port=0, workers=2, timeout=60.0, faults=self.PLAN)
+        ) as server:
+            pooled = self._answers(server)
+        statuses = [status for status, _ in inline]
+        assert statuses == [200, 200, 200, 200, 400, 500]
+        assert [status for status, _ in pooled] == statuses
+        for (status, inline_body), (_, pooled_body) in zip(inline, pooled):
+            if status == 200:
+                # Only the run-dependent timings and cache state may differ.
+                assert _normalised(pooled_body) == _normalised(inline_body)
+            else:
+                assert pooled_body == inline_body
+        assert "InjectedFault" in inline[-1][1]
+
+    def test_non_string_resource_names_are_bad_requests(self):
+        source = workloads.challenge_f_program()
+        for server_object in (
+            AnalysisServer(port=0),
+            AnalysisServer(port=0, workers=1, timeout=60.0),
+        ):
+            with ServerThread(server_object) as server:
+                for field in ("output", "secret"):
+                    status, body, _ = _request(
+                        server.port, "POST", "/check", {"source": source, field: [1]}
+                    )
+                    assert status == 400
+                    assert f"'{field}' must be a list" in json.loads(body)["error"]
+
+    def test_single_flight_followers_get_the_leaders_error_bytes(self):
+        plan = FaultPlan(delay_seconds=1.0, match="error_dedup_marker")
+        source = "entity broken is\n-- error_dedup_marker\n"
+        with ServerThread(
+            AnalysisServer(port=0, workers=2, timeout=30.0, faults=plan)
+        ) as server:
+            answers = [None] * 3
+
+            def fire(slot):
+                answers[slot] = _request(
+                    server.port, "POST", "/check", {"source": source}
+                )[:2]
+
+            leader = threading.Thread(target=fire, args=(0,))
+            leader.start()
+            time.sleep(0.3)  # the leader is in flight before the followers
+            followers = [threading.Thread(target=fire, args=(slot,)) for slot in (1, 2)]
+            for thread in followers:
+                thread.start()
+            for thread in [leader, *followers]:
+                thread.join(timeout=60)
+
+            assert {status for status, _ in answers} == {400}
+            assert len({body for _, body in answers}) == 1
+            assert _metrics(server.port)["dedup_hits"] == 2
+
+    def test_stage_histograms_fill_from_worker_meta(self):
+        with ServerThread(AnalysisServer(port=0, workers=1, timeout=60.0)) as server:
+            status, body, _ = _request(
+                server.port,
+                "POST",
+                "/check",
+                {"source": workloads.challenge_f_program(), "secret": ["key"]},
+            )
+            assert status == 200
+            stages = _metrics(server.port)["latency"]["stages"]
+        timings = json.loads(body)["timings"]
+        assert sorted(stages) == sorted(timings)
+        assert "report" in stages
+        assert all(histogram["count"] == 1 for histogram in stages.values())
+
+
 class TestCorruptCacheRecovery:
     """Torn cache entries under serve are evicted and recomputed, not served."""
 
