@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant gate: AST lint over ``src/repro`` (stdlib only).
 
-Four invariants, each of which has silently rotted in similar codebases and
+Five invariants, each of which has silently rotted in similar codebases and
 none of which the type checker can express:
 
 1. **Every serve/CLI JSON document is stamped.**  Arguments to
@@ -28,6 +28,13 @@ none of which the type checker can express:
    matching ``IFA<3 digits>`` that is *assigned to a name* must be unique
    across the tree — two rules (or a rule and the flow checker) sharing a
    code would corrupt the lint catalog and docs gate.
+
+5. **``src/repro`` imports only the standard library and itself.**  Every
+   ``import X`` / ``from X import ...`` must name a module whose top-level
+   package is in ``sys.stdlib_module_names`` or is ``repro``.  The package
+   declares no dependencies, so a third-party import either breaks on a
+   clean install or, guarded by ``try``, silently changes behaviour and
+   start-up cost with whatever happens to be installed.
 
 Usage: ``python scripts/check_invariants.py [PATH ...]`` — paths default to
 ``src/repro``; passing explicit paths lets the tests seed violations in a
@@ -217,6 +224,27 @@ def check_stage_option_fields(tree: ast.Module, relpath: str) -> List[str]:
     return failures
 
 
+def check_stdlib_imports(tree: ast.Module, relpath: str) -> List[str]:
+    """Invariant 5: absolute imports name the stdlib or ``repro``."""
+    failures = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                failures.append(
+                    f"{relpath}:{node.lineno}: imports {module!r}, which is "
+                    "neither the standard library nor repro — src/ declares "
+                    "no third-party dependencies"
+                )
+    return failures
+
+
 def collect_diagnostic_codes(
     tree: ast.Module, relpath: str
 ) -> List[Tuple[str, str]]:
@@ -256,6 +284,7 @@ def check_tree(paths: Tuple[Path, ...]) -> List[str]:
         failures.extend(check_stamped_json(tree, relpath))
         failures.extend(check_no_global_universe(tree, relpath))
         failures.extend(check_stage_option_fields(tree, relpath))
+        failures.extend(check_stdlib_imports(tree, relpath))
         for code, location in collect_diagnostic_codes(tree, relpath):
             codes.setdefault(code, []).append(location)
     for code in sorted(codes):
@@ -286,7 +315,8 @@ def main(argv: List[str]) -> int:
     count = sum(1 for _ in python_files(paths))
     print(
         f"invariant check: {count} files OK (stamped JSON sinks, no global "
-        "interner state, stage cache keys declared, diagnostic codes unique)"
+        "interner state, stage cache keys declared, diagnostic codes unique, "
+        "stdlib-only imports)"
     )
     return 0
 

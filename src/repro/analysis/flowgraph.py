@@ -14,11 +14,9 @@ cached transpose.  :meth:`from_resource_matrix` consumes the label-columnar
 matrix directly — one ``pred[m] |= reads`` OR per set modification bit of
 each label row — without ever materialising the edge set; edges are decoded
 lazily, only by :meth:`to_dot`, :meth:`to_adjacency`,
-:meth:`edge_difference`, iteration and the :attr:`edges` property.
-:meth:`from_edges` builds the same structure from an explicit edge set and,
-together with :func:`resource_matrix_edges` (the original
-product-of-reads-and-mods materialisation), serves as the cross-check oracle
-mirroring ``solve_sets`` / ``propagate_naive``.
+:meth:`edge_difference`, iteration and the :attr:`edges` property.  The test
+suite cross-checks it against the original product-of-reads-and-mods edge
+set (``tests/oracles/flowgraph.py``).
 
 The class also provides the graph algebra the evaluation needs: transitive
 closure (Kemmerer's method), reachability, merging of environment nodes,
@@ -27,9 +25,7 @@ projection onto a node subset, DOT export and structural comparison.
 
 from __future__ import annotations
 
-import itertools
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -37,7 +33,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -47,7 +42,6 @@ from repro.analysis.resource_matrix import (
     is_incoming,
     is_outgoing,
 )
-from repro.dataflow import bitset as bitset_module
 from repro.dataflow.universe import FactUniverse, bit_indices
 
 Edge = Tuple[str, str]
@@ -89,45 +83,12 @@ def _drop_self_loops(adjacency: Adjacency) -> Adjacency:
     return result
 
 
-def resource_matrix_edges(
-    matrix: ResourceMatrix, include_self_loops: bool = True
-) -> Set[Edge]:
-    """The explicit edge set of a Resource Matrix (the set-based oracle).
-
-    This is the original construction — for every label, the cartesian product
-    of the decoded read names and modified names — kept as the cross-check
-    oracle for :meth:`FlowGraph.from_resource_matrix`, which computes the same
-    relation without materialising these tuples.
-    """
-    universe = matrix.universe
-    decoded: Dict[int, List[str]] = {}
-
-    def names_of(bits: int) -> List[str]:
-        names = decoded.get(bits)
-        if names is None:
-            names = decoded[bits] = universe.decode_list(bits)
-        return names
-
-    edges: Set[Edge] = set()
-    for _, row in matrix.iter_rows():
-        mods_bits = row[0] | row[1]
-        reads_bits = row[2] | row[3]
-        if not mods_bits or not reads_bits:
-            continue
-        pairs = itertools.product(names_of(reads_bits), names_of(mods_bits))
-        if include_self_loops:
-            edges.update(pairs)
-        else:
-            edges.update((r, m) for r, m in pairs if r != m)
-    return edges
-
-
 class FlowGraph:
     """A directed graph over resource names, stored as per-node bitsets.
 
     Instances are immutable: every transformation returns a new graph.  The
-    node universe is shared with the producing Resource Matrix (or private for
-    :meth:`from_edges` graphs) and may contain names that are not nodes of
+    node universe is shared with the producing Resource Matrix (or private
+    after :meth:`renamed`) and may contain names that are not nodes of
     this graph; the node set proper is the ``_node_bits`` bitset.  At least
     one of the successor/predecessor maps is materialised; the other is
     derived on first use by :func:`_transpose` and cached.
@@ -190,7 +151,6 @@ class FlowGraph:
         cls,
         matrix: ResourceMatrix,
         include_self_loops: bool = True,
-        backend: Optional[str] = None,
     ) -> "FlowGraph":
         """Build the flow graph of a (local or global) Resource Matrix.
 
@@ -201,25 +161,7 @@ class FlowGraph:
         tiny because labels modify few resources while they may read many —
         and no edge tuple is ever built; the successor direction is derived
         lazily if a consumer asks for it.
-
-        ``backend`` selects the bitset representation for the accumulation
-        (``"int"`` / ``"words"``; ``None`` resolves the benchmarked default
-        via :func:`repro.dataflow.bitset.backend_for`).  Both build the same
-        graph; the word path ORs numpy rows in place and unpacks once.
         """
-        if backend is None:
-            backend = bitset_module.backend_for("flow_graph")
-        if backend == bitset_module.WORDS and bitset_module.HAVE_WORD_BACKEND:
-            node_bits, pred = cls._predecessors_words(matrix)
-        else:
-            node_bits, pred = cls._predecessors_ints(matrix)
-        if not include_self_loops:
-            pred = _drop_self_loops(pred)
-        return cls(matrix.universe, node_bits, predecessors=pred)
-
-    @staticmethod
-    def _predecessors_ints(matrix: ResourceMatrix) -> Tuple[int, Adjacency]:
-        """Predecessor accumulation over Python-int bitsets."""
         node_bits = 0
         pred: Adjacency = {}
         get = pred.get
@@ -230,62 +172,9 @@ class FlowGraph:
             if mods_bits and reads_bits:
                 for modified in bit_indices(mods_bits):
                     pred[modified] = get(modified, 0) | reads_bits
-        return node_bits, pred
-
-    @staticmethod
-    def _predecessors_words(matrix: ResourceMatrix) -> Tuple[int, Adjacency]:
-        """Predecessor accumulation over numpy word rows.
-
-        Each row's read-set is packed once and ORed in place into the
-        per-modified-node accumulator; accumulators unpack to plain int
-        bitsets at the end, so the resulting graph is representation-free.
-        """
-        import numpy as np
-
-        rows = [
-            (row[0] | row[1], row[2] | row[3]) for _, row in matrix.iter_rows()
-        ]
-        node_bits = 0
-        width = 0
-        for mods_bits, reads_bits in rows:
-            node_bits |= mods_bits | reads_bits
-        width = node_bits.bit_length()
-        words = bitset_module.words_for(width)
-        pack = bitset_module.pack
-        bitwise_or = np.bitwise_or
-        accumulators: Dict[int, Any] = {}
-        for mods_bits, reads_bits in rows:
-            if not mods_bits or not reads_bits:
-                continue
-            packed = pack(reads_bits, words)
-            for modified in bit_indices(mods_bits):
-                existing = accumulators.get(modified)
-                if existing is None:
-                    accumulators[modified] = packed.copy()
-                else:
-                    bitwise_or(existing, packed, out=existing)
-        unpack = bitset_module.unpack
-        pred: Adjacency = {
-            index: unpack(row) for index, row in accumulators.items()
-        }
-        return node_bits, pred
-
-    @classmethod
-    def from_edges(
-        cls, edges: Iterable[Edge], nodes: Iterable[str] = ()
-    ) -> "FlowGraph":
-        """Build a graph from explicit edges (the oracle construction path)."""
-        universe: FactUniverse = FactUniverse()
-        node_bits = 0
-        succ: Adjacency = {}
-        for name in nodes:
-            node_bits |= 1 << universe.intern(name)
-        for src, dst in edges:
-            src_index = universe.intern(src)
-            dst_index = universe.intern(dst)
-            node_bits |= (1 << src_index) | (1 << dst_index)
-            succ[src_index] = succ.get(src_index, 0) | (1 << dst_index)
-        return cls(universe, node_bits, successors=succ)
+        if not include_self_loops:
+            pred = _drop_self_loops(pred)
+        return cls(matrix.universe, node_bits, predecessors=pred)
 
     def copy(self) -> "FlowGraph":
         """An independent copy (the append-only universe is shared)."""

@@ -79,10 +79,7 @@ from repro.pipeline.render import (
     render_analysis_text,
     stamped,
 )
-from repro.pipeline.batch import default_workers
-from repro.pipeline.serve import serve
 from repro.security.policy import TwoLevelPolicy
-from repro.semantics.simulator import Simulator
 from repro.version import version
 from repro.vhdl.elaborate import elaborate
 from repro.vhdl.parser import parse_program
@@ -308,6 +305,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.semantics.simulator import Simulator
+
     design = elaborate(parse_program(_read_source(args.file)), args.entity)
     simulator = Simulator(design)
     # Validate the complete stimulus set before the first simulation step: a
@@ -355,6 +354,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.pipeline.batch import default_workers
+    from repro.pipeline.serve import serve
+
     # The server always keeps the in-memory tier (that is the point of a
     # long-lived process) unless --no-cache asks for cold runs throughout.
     workspace = _workspace(args, memory_default=True)
@@ -408,6 +410,21 @@ def _cmd_contract(args: argparse.Namespace) -> int:
             for result in report.failures:
                 print(result.describe())
     return EXIT_ERROR if failed else EXIT_OK
+
+
+def _count(minimum: int):
+    """An argparse ``type`` for integer counts of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -594,10 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_p.add_argument(
         "--jobs",
-        type=int,
+        type=_count(1),
         default=None,
         metavar="N",
-        help=f"worker processes (default: CPU count, here {default_workers()})",
+        help="worker processes (default: CPU count)",
     )
     batch_p.add_argument(
         "--sequential",
@@ -701,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--workers",
-        type=int,
+        type=_count(0),
         default=None,
         metavar="N",
         help=(

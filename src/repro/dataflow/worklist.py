@@ -1,33 +1,29 @@
 """Worklist solver computing the least solution of a Monotone Framework.
 
-Two interchangeable engines compute the same least solution:
-
-* :func:`solve` — the production engine.  Every fact occurring in a kill, gen
-  or extremal set is interned into a :class:`~repro.dataflow.universe.FactUniverse`
-  and the chaotic iteration runs entirely on Python-int bitsets: the transfer
-  function is ``(entry & ~kill) | gen`` and joins are word-wise ``|`` (may
-  analyses) or ``&`` (the paper's dotted intersection ``⋂˙``, which yields
-  ``0`` for an empty family of predecessors).  The worklist is prioritised by
-  reverse postorder of the flow graph, so acyclic stretches converge in one
-  sweep.  The solution is decoded back to frozensets at the boundary, so
-  callers never see bitsets.
-* :func:`solve_sets` — the original frozenset implementation, kept verbatim as
-  the cross-check oracle (``tests/test_bitset_backend.py`` asserts both
-  engines agree on the paper programs, the AES rounds and randomized
-  programs).
+:func:`solve` interns every fact occurring in a kill, gen or extremal set into
+a :class:`~repro.dataflow.universe.FactUniverse` and runs the chaotic
+iteration entirely on Python-int bitsets: the transfer function is
+``(entry & ~kill) | gen`` and joins are word-wise ``|`` (may analyses) or
+``&`` (the paper's dotted intersection ``⋂˙``, which yields ``0`` for an empty
+family of predecessors).  The worklist is prioritised by reverse postorder of
+the flow graph, so acyclic stretches converge in one sweep.  The solution is
+decoded back to frozensets at the boundary, so callers never see bitsets.  The
+original frozenset engine lives on as a test oracle
+(``tests/oracles/worklist.py``), and the test suite asserts both agree on the
+paper programs, the AES rounds and randomized programs.
 
 Because every equation right-hand side is monotone and the lattices are
-finite, both iterations terminate in the least solution — the solution the
+finite, the iteration terminates in the least solution — the solution the
 paper requires ("the smallest solution to the equation systems").
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
-from typing import Deque, Dict, FrozenSet, List, Set, Tuple, TypeVar
+from collections import defaultdict
+from typing import Dict, FrozenSet, List, Set, Tuple, TypeVar
 
-from repro.dataflow.framework import DataflowInstance, DataflowSolution, EMPTY, JoinMode
+from repro.dataflow.framework import DataflowInstance, DataflowSolution, JoinMode
 from repro.dataflow.universe import FactUniverse
 
 Fact = TypeVar("Fact")
@@ -151,48 +147,3 @@ def solve(instance: DataflowInstance) -> DataflowSolution:
         exit={label: decode(bits) for label, bits in exit_.items()},
         iterations=iterations,
     )
-
-
-def solve_sets(instance: DataflowInstance) -> DataflowSolution:
-    """The original frozenset engine, kept as the cross-check oracle."""
-    predecessors: Dict[int, List[int]] = defaultdict(list)
-    successors: Dict[int, List[int]] = defaultdict(list)
-    for src, dst in instance.flow:
-        predecessors[dst].append(src)
-        successors[src].append(dst)
-
-    entry: Dict[int, FrozenSet] = {}
-    exit_: Dict[int, FrozenSet] = {}
-    for label in instance.labels:
-        if label in instance.extremal_labels:
-            entry[label] = frozenset(instance.extremal_value.get(label, EMPTY))
-        else:
-            entry[label] = EMPTY
-        exit_[label] = instance.transfer(label, entry[label])
-
-    worklist: Deque[int] = deque(sorted(instance.labels))
-    queued: Set[int] = set(worklist)
-    iterations = 0
-
-    while worklist:
-        label = worklist.popleft()
-        queued.discard(label)
-        iterations += 1
-
-        if label in instance.extremal_labels:
-            new_entry = frozenset(instance.extremal_value.get(label, EMPTY))
-        else:
-            incoming = [exit_[pred] for pred in predecessors.get(label, [])]
-            new_entry = instance.join(incoming)
-
-        new_exit = instance.transfer(label, new_entry)
-        changed = new_entry != entry[label] or new_exit != exit_[label]
-        entry[label] = new_entry
-        exit_[label] = new_exit
-        if changed:
-            for succ in successors.get(label, []):
-                if succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
-
-    return DataflowSolution(entry=entry, exit=exit_, iterations=iterations)

@@ -12,22 +12,21 @@ deterministically testable via :mod:`repro.pipeline.faults`.
 
 The legacy entry points (:func:`repro.analysis.api.analyze` and friends) are
 thin wrappers over :class:`Pipeline` with unchanged behaviour.
+
+The batch, pool, serve and fault-injection names are resolved on first access
+(PEP 562), so a cold ``analyze``/``check``/``lint`` process never imports
+``asyncio``, ``multiprocessing`` or ``concurrent.futures``.  The ``serve``
+entry point is :func:`repro.pipeline.serve.serve`; the package attribute of
+that name is the submodule.
 """
+
+import importlib
 
 from repro.pipeline.artifacts import (
     AnalysisOptions,
     AnalysisResult,
     PipelineResult,
     StageTiming,
-)
-from repro.pipeline.batch import (
-    BatchItem,
-    BatchJob,
-    BatchReport,
-    entities_in,
-    expand_jobs,
-    run_batch,
-    run_job,
 )
 from repro.pipeline.cache import (
     ArtifactCache,
@@ -36,8 +35,6 @@ from repro.pipeline.cache import (
     open_cache,
     source_digest,
 )
-from repro.pipeline.faults import FaultInjector, FaultPlan
-from repro.pipeline.pool import PoolResult, WorkerPool
 from repro.pipeline.render import (
     SCHEMA_VERSION,
     analysis_json,
@@ -57,7 +54,6 @@ from repro.pipeline.render import (
     version_document,
     volatile_pointers,
 )
-from repro.pipeline.serve import AnalysisServer, ServerThread, interaction_id, serve
 from repro.pipeline.stages import (
     ANALYSIS_STAGES,
     KEMMERER_STAGES,
@@ -68,6 +64,27 @@ from repro.pipeline.stages import (
     Stage,
     stage_key,
 )
+
+#: Public name -> the submodule defining it, for the submodules a one-file
+#: analysis never runs.
+_DEFERRED = {
+    **dict.fromkeys(
+        ("BatchItem", "BatchJob", "BatchReport", "entities_in", "expand_jobs",
+         "run_batch", "run_job"),
+        "batch",
+    ),
+    **dict.fromkeys(("FaultInjector", "FaultPlan"), "faults"),
+    **dict.fromkeys(("PoolResult", "WorkerPool"), "pool"),
+    **dict.fromkeys(("AnalysisServer", "ServerThread", "interaction_id"), "serve"),
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "ANALYSIS_STAGES",
@@ -113,7 +130,6 @@ __all__ = [
     "run_job",
     "schema_v1",
     "select_graph",
-    "serve",
     "source_digest",
     "stage_key",
     "stamped",

@@ -148,12 +148,40 @@ class _ArtifactPickler(pickle.Pickler):
         return None
 
 
+#: Packages whose classes make up cached artifacts: the AST, the CFG, the
+#: analysis results and reports.  Building one has no effect beyond the new
+#: object, unlike the pipeline's own stores, pools and servers.
+_ARTIFACT_PACKAGES = (
+    "repro.analysis.",
+    "repro.cfg.",
+    "repro.dataflow.",
+    "repro.errors",
+    "repro.hier.",
+    "repro.security.",
+    "repro.vhdl.",
+)
+
+
 class _ArtifactUnpickler(pickle.Unpickler):
-    """Resolves externalised universe references against the registry."""
+    """Loads cache files, which anyone able to write ``--cache-dir`` controls.
+
+    Externalised universe references resolve against the registry, and the
+    only globals a file may name are classes defined in the artifact
+    packages: no functions, no modules, no dotted paths through a module's
+    attributes and nothing from outside ``repro``.  Any other global raises
+    :class:`pickle.UnpicklingError`, so the entry is evicted as corrupt.
+    """
 
     def __init__(self, buffer, universes: Dict[str, FactUniverse]):
         super().__init__(buffer)
         self._universes = universes
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module.startswith(_ARTIFACT_PACKAGES) and "." not in name:
+            found = super().find_class(module, name)
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise pickle.UnpicklingError(f"{module}.{name} is not an artifact class")
 
     def persistent_load(self, pid: Any) -> Any:
         if isinstance(pid, str) and pid.startswith(_PERSISTENT_PREFIX):
@@ -161,6 +189,11 @@ class _ArtifactUnpickler(pickle.Unpickler):
             if universe is not None:
                 return universe
         raise pickle.UnpicklingError(f"unresolvable persistent id {pid!r}")
+
+
+def _load_untrusted(blob: bytes) -> Any:
+    """Unpickle an entry envelope or a universe snapshot (plain data only)."""
+    return _ArtifactUnpickler(io.BytesIO(blob), {}).load()
 
 
 class DiskArtifactCache:
@@ -324,7 +357,7 @@ class DiskArtifactCache:
         )
 
     def _decode_entry(self, key: str, blob: bytes) -> Any:
-        envelope = pickle.loads(blob)
+        envelope = _load_untrusted(blob)
         tag, version, stored_key, universe_lengths, payload = envelope
         if tag != _ENTRY_TAG or version != FORMAT_VERSION or stored_key != key:
             raise _CacheMiss(f"stale or foreign entry for {key!r}")
@@ -379,7 +412,7 @@ class DiskArtifactCache:
     def _read_universe_facts(self, uid: str) -> List[Any]:
         path = self._universe_dir / f"{uid}.pkl"
         try:
-            envelope = pickle.loads(path.read_bytes())
+            envelope = _load_untrusted(path.read_bytes())
             tag, version, stored_uid, facts = envelope
         except Exception as error:
             raise _CacheMiss(f"unreadable universe snapshot {uid}") from error

@@ -80,6 +80,9 @@ def _worker_main(
     """
     # Imported here: the worker entry point must be importable by the spawn
     # machinery without dragging the whole toolchain in at module level.
+    # The lint catalog is otherwise imported by the first lint request;
+    # loading it now keeps every import out of the requests themselves.
+    import repro.analysis.lint.rules  # noqa: F401
     from repro.pipeline.cache import open_cache
     from repro.pipeline.serve import execute_request
     from repro.workspace import Workspace

@@ -77,7 +77,6 @@ from repro.analysis.reaching_active import analyze_all_active_signals
 from repro.analysis.reaching_defs import analyze_reaching_definitions
 from repro.analysis.specialize import specialize
 from repro.cfg.builder import build_cfg
-from repro.dataflow import bitset
 from repro.dataflow.universe import FactUniverse
 from repro.errors import AnalysisError
 from repro.pipeline.artifacts import (
@@ -244,14 +243,6 @@ KEMMERER_STAGES: Tuple[Stage, ...] = (PARSE, ELABORATE, CFG, KEMMERER)
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in ANALYSIS_STAGES)
 
 
-#: Stages whose artefacts are produced by a selectable bitset backend
-#: (:mod:`repro.dataflow.bitset`); the active backend is part of their cache
-#: key so artefacts can never be served across a backend switch.  The
-#: backends are cross-checked byte-identical, so this is defence in depth
-#: for the content-address contract, not a correctness requirement.
-_BACKEND_KEYED = frozenset({"closure", "flow_graph"})
-
-
 def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
     """The content address of one stage artefact.
 
@@ -266,8 +257,6 @@ def stage_key(stage: Stage, source_key: str, options: AnalysisOptions) -> str:
         parts.extend(
             f"{name}={getattr(options, name)!r}" for name in stage.option_fields
         )
-    if stage.name in _BACKEND_KEYED:
-        parts.append(f"backend={bitset.backend_for(stage.name)}")
     return ":".join(parts)
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis.lint import LintConfig, findings_fail
 from repro.dataflow.universe import FactUniverse
@@ -58,13 +58,15 @@ from repro.hier.flatten import flatten_source, may_instantiate
 from repro.hier.link import link_hierarchy
 from repro.hier.structure import has_instantiations
 from repro.pipeline.artifacts import AnalysisOptions, AnalysisResult, PipelineResult
-from repro.pipeline.batch import BatchJob, BatchReport, expand_jobs, run_batch
 from repro.pipeline.cache import open_cache
 from repro.pipeline.render import check_document, lint_document, render_lint_text
 from repro.pipeline.stages import Pipeline
 from repro.security.policy import FlowPolicy
 from repro.security.policy_file import load_policy_file, policy_from_dict
 from repro.security.report import Diagnostic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pipeline.batch import BatchJob, BatchReport
 
 #: Anything :meth:`Workspace.policy` resolves: a policy object, a registered
 #: name, a parsed policy document, or a path to a policy file.
@@ -554,6 +556,10 @@ class Workspace:
         lint run when it has none); ``fail_on`` sets the severity threshold
         behind :attr:`BatchReport.exit_code`.
         """
+        # Imported here: the process-pool driver is not part of a single
+        # analysis, so a cold one-file run does not pay for it.
+        from repro.pipeline.batch import BatchJob, expand_jobs, run_batch
+
         expanded: List[BatchJob] = []
         for job in jobs:
             if isinstance(job, BatchJob):

@@ -254,6 +254,31 @@ class TestBatchCommand:
         assert all("timings" in job for job in document["jobs"])
 
 
+class TestWorkerCounts:
+    """Worker counts that cannot describe a pool are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_batch_rejects_jobs_below_one(self, design_file, capsys, jobs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", design_file, "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["-1", "-8"])
+    def test_serve_rejects_negative_workers(self, capsys, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "at least 0" in capsys.readouterr().err
+
+    def test_one_job_and_zero_workers_still_parse(self, design_file):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["batch", design_file, "--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["serve", "--workers", "0"]).workers == 0
+
+
 class TestJsonOutput:
     def test_analyze_json(self, design_file, capsys):
         assert main(["analyze", design_file, "--json"]) == 0

@@ -18,6 +18,8 @@ from repro.pipeline import (
     Pipeline,
     TieredArtifactCache,
     expand_jobs,
+    analyze_document,
+    json_text,
     open_cache,
     run_batch,
 )
@@ -201,6 +203,82 @@ class TestCorruptionIsEvictedNotRaised:
         assert {"parse", "elaborate", "cfg"} <= set(warm.cached_stages)
         assert "local" in warm.computed_stages
         assert warm.result.rm_local.universe is warm.result.universe
+
+
+def _calling(module, name, argument):
+    """A protocol-4 pickle that calls ``module.name(argument)`` when loaded."""
+
+    def text(value):
+        data = value.encode()
+        return b"\x8c" + bytes([len(data)]) + data
+
+    # SHORT_BINUNICODE x2, STACK_GLOBAL, one-tuple of the argument, REDUCE.
+    return (
+        b"\x80\x04" + text(module) + text(name) + b"\x93" + text(argument)
+        + b"\x85R."
+    )
+
+
+def _stable_document(run):
+    document = json.loads(json_text(analyze_document(run)))
+    document.pop("timings")
+    document.pop("cached_stages")
+    return document
+
+
+class TestPlantedEntriesCannotRunCode:
+    """A shared ``--cache-dir`` is untrusted input: loading must not run code."""
+
+    GLOBALS = [
+        pytest.param("os", "mkdir", id="stdlib-function"),
+        pytest.param("repro.pipeline.cache", "os.mkdir", id="dotted-through-repro"),
+        pytest.param(
+            "repro.pipeline.cache", "DiskArtifactCache", id="non-artifact-class"
+        ),
+    ]
+
+    @pytest.mark.parametrize("module,name", GLOBALS)
+    @pytest.mark.parametrize("planted_in", ["payload", "envelope"])
+    def test_planted_entry_is_evicted_and_recomputed(
+        self, cache_dir, tmp_path, module, name, planted_in
+    ):
+        source = workloads.producer_consumer_program()
+        cold = _populate(cache_dir, source)
+        # The planted pickle is live: an unguarded load runs the call.
+        probe = tmp_path / "probe"
+        pickle.loads(_calling(module, name, str(probe)))
+        assert probe.exists()
+
+        marker = tmp_path / "marker"
+        (entry,) = (Path(cache_dir) / "closure").glob("*.pkl")
+        tag, version, key, lengths, _ = pickle.loads(entry.read_bytes())
+        planted = _calling(module, name, str(marker))
+        if planted_in == "payload":
+            entry.write_bytes(pickle.dumps((tag, version, key, lengths, planted)))
+        else:
+            entry.write_bytes(planted)
+
+        disk = DiskArtifactCache(cache_dir)
+        warm = Pipeline(TieredArtifactCache(ArtifactCache(), disk)).run(source)
+        assert not marker.exists()
+        # Only the planted entry missed; it was evicted and the recomputed
+        # artifact written back in its place.
+        assert disk.misses == 1
+        assert "closure" in warm.computed_stages
+        assert {"parse", "local", "specialize"} <= set(warm.cached_stages)
+        assert _stable_document(warm) == _stable_document(cold)
+        assert DiskArtifactCache(cache_dir).get(key) is not None
+
+    def test_planted_universe_snapshot_is_a_miss(self, cache_dir, tmp_path):
+        source = workloads.producer_consumer_program()
+        cold = _populate(cache_dir, source)
+        marker = tmp_path / "marker"
+        for path in (Path(cache_dir) / "universes").glob("*.pkl"):
+            path.write_bytes(_calling("os", "mkdir", str(marker)))
+        warm = _fresh_run(cache_dir, source)
+        assert not marker.exists()
+        assert "local" in warm.computed_stages
+        assert _stable_document(warm) == _stable_document(cold)
 
 
 class TestEvictionAndStats:

@@ -1,6 +1,7 @@
 """Tests for the FlowGraph result type."""
 
-from repro.analysis.flowgraph import FlowGraph, resource_matrix_edges
+from oracles.flowgraph import graph_from_edges, resource_matrix_edges
+from repro.analysis.flowgraph import FlowGraph
 from repro.analysis.resource_matrix import (
     Access,
     ResourceMatrix,
@@ -10,7 +11,7 @@ from repro.analysis.resource_matrix import (
 
 
 def small_graph():
-    return FlowGraph.from_edges([("a", "b"), ("b", "c")])
+    return graph_from_edges([("a", "b"), ("b", "c")])
 
 
 class TestConstruction:
@@ -41,7 +42,7 @@ class TestConstruction:
         assert ("a", "a") not in without.edges
 
     def test_from_edges_registers_nodes(self):
-        graph = FlowGraph.from_edges([("x", "y")], nodes=["z"])
+        graph = graph_from_edges([("x", "y")], nodes=["z"])
         assert graph.nodes == {"x", "y", "z"}
 
     def test_both_construction_paths_agree(self):
@@ -53,7 +54,7 @@ class TestConstruction:
         matrix.add("d", 2, Access.M1)
         matrix.add("lonely", 3, Access.R0)
         bitset = FlowGraph.from_resource_matrix(matrix)
-        oracle = FlowGraph.from_edges(
+        oracle = graph_from_edges(
             resource_matrix_edges(matrix), nodes=matrix.names()
         )
         assert bitset == oracle
@@ -87,7 +88,7 @@ class TestQueries:
         assert not graph.flows_to("c", "a")
 
     def test_reachable_with_cycle(self):
-        graph = FlowGraph.from_edges([("a", "b"), ("b", "a")])
+        graph = graph_from_edges([("a", "b"), ("b", "a")])
         assert graph.reachable_from("a") == {"a", "b"}
 
     def test_counts(self):
@@ -112,23 +113,23 @@ class TestClosureAndTransitivity:
 
 class TestTransformations:
     def test_without_self_loops(self):
-        graph = FlowGraph.from_edges([("a", "a"), ("a", "b")])
+        graph = graph_from_edges([("a", "a"), ("a", "b")])
         assert graph.without_self_loops().edges == {("a", "b")}
 
     def test_restricted_to(self):
-        graph = FlowGraph.from_edges([("a", "b"), ("b", "c")])
+        graph = graph_from_edges([("a", "b"), ("b", "c")])
         restricted = graph.restricted_to(["a", "b"])
         assert restricted.edges == {("a", "b")}
         assert restricted.nodes == {"a", "b"}
 
     def test_renamed_merges_nodes(self):
-        graph = FlowGraph.from_edges([("a1", "b"), ("a2", "b")])
+        graph = graph_from_edges([("a1", "b"), ("a2", "b")])
         merged = graph.renamed({"a1": "a", "a2": "a"})
         assert merged.edges == {("a", "b")}
         assert merged.nodes == {"a", "b"}
 
     def test_collapse_environment_nodes(self):
-        graph = FlowGraph.from_edges(
+        graph = graph_from_edges(
             [(incoming_node("a"), "b"), ("b", outgoing_node("c"))]
         )
         collapsed = graph.collapse_environment_nodes()
@@ -149,7 +150,7 @@ class TestExport:
         assert '"b" -> "c";' in dot
 
     def test_dot_shapes_for_environment_nodes(self):
-        graph = FlowGraph.from_edges([(incoming_node("a"), outgoing_node("b"))])
+        graph = graph_from_edges([(incoming_node("a"), outgoing_node("b"))])
         dot = graph.to_dot()
         assert "invhouse" in dot
         assert "house" in dot

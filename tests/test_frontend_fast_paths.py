@@ -2,7 +2,7 @@
 
 The production tokenizer (:func:`repro.vhdl.lexer.tokenize`, one master
 regex) must be indistinguishable from the original character-at-a-time
-scanner (kept as :func:`repro.vhdl.lexer.tokenize_reference`): identical
+scanner (kept as ``tests/oracles/lexer.py``): identical
 token streams — kinds, texts *and* positions — identical ASTs through the
 parser, and identical errors (message and position) on every lexical
 failure mode.  The inputs cover all eight paper workloads, the AES
@@ -12,10 +12,11 @@ literals, multi-line constructs).
 
 import pytest
 
+from oracles.lexer import Lexer, tokenize_reference
 from repro import workloads
 from repro.aes.generator import aes_round_source, shift_rows_paper_source
 from repro.errors import LexerError
-from repro.vhdl.lexer import Lexer, tokenize, tokenize_reference
+from repro.vhdl.lexer import tokenize
 from repro.vhdl.parser import Parser, parse_program
 from repro.vhdl.stdlogic import STD_LOGIC_CHARS
 from repro.vhdl.tokens import TokenKind

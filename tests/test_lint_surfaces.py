@@ -316,6 +316,25 @@ class TestInvariantGate:
         ):
             assert fragment in result.stderr, fragment
 
+    def test_third_party_imports_fire(self, tmp_path):
+        seeded = tmp_path / "imports.py"
+        seeded.write_text(
+            "import json, numpy.linalg\n"
+            "from collections import deque\n"
+            "from repro.errors import ReproError\n"
+            "from . import sibling\n"
+            "try:\n"
+            "    from yaml import safe_load\n"
+            "except ImportError:\n"
+            "    safe_load = None\n",
+            encoding="utf-8",
+        )
+        result = self.run_gate(str(seeded))
+        assert result.returncode == 1
+        assert "imports 'numpy.linalg'" in result.stderr
+        assert "imports 'yaml'" in result.stderr
+        assert "2 violation(s)" in result.stderr
+
     def test_docs_gate_requires_catalog_entries(self):
         result = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" / "check_docs.py")],

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.flowgraph import graph_from_edges
 from oracles.policy_check import check_policy_reference
 from repro import cli, workloads
 from repro.analysis.flowgraph import FlowGraph
@@ -77,7 +78,7 @@ def graphs(draw):
         st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=40)
     )
     isolated = draw(st.lists(st.sampled_from(NODES), max_size=3))
-    graph = FlowGraph.from_edges(edges, nodes=isolated)
+    graph = graph_from_edges(edges, nodes=isolated)
     if draw(st.booleans()):
         # The predecessor direction, as FlowGraph.from_resource_matrix holds it.
         graph = FlowGraph(
@@ -96,7 +97,7 @@ def test_bitset_checker_equals_the_oracle(graph, policy, transitive, restrict):
 def test_witness_paths_break_ties_by_name_order():
     # Two shortest paths key → out; the one through the smaller name wins.
     edges = [("key", "m2"), ("key", "m1"), ("m1", "out"), ("m2", "out"), ("out", "key")]
-    graph = FlowGraph.from_edges(edges)
+    graph = graph_from_edges(edges)
     policy = TwoLevelPolicy(secret_resources=["key"])
     found = check_policy(graph, policy, transitive=True)
     assert found == check_policy_reference(graph, policy, transitive=True)
@@ -107,7 +108,7 @@ def test_witness_paths_break_ties_by_name_order():
 
 def test_reach_of_few_sources_equals_the_condensed_reach():
     edges = [(NODES[i], NODES[(i * 7 + 3) % len(NODES)]) for i in range(len(NODES))]
-    graph = FlowGraph.from_edges(edges)
+    graph = graph_from_edges(edges)
     full = graph.reach_bits()
     sources = 1 << 0 | 1 << 5
     assert graph.reach_bits(sources) == {index: full[index] for index in (0, 5)}

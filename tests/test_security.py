@@ -2,8 +2,8 @@
 
 import pytest
 
+from oracles.flowgraph import graph_from_edges
 from repro.analysis.api import analyze
-from repro.analysis.flowgraph import FlowGraph
 from repro.errors import PolicyError
 from repro.security.policy import (
     Clearance,
@@ -50,7 +50,7 @@ class TestPolicies:
 
 class TestCheckPolicy:
     def _graph(self):
-        return FlowGraph.from_edges([("key", "t"), ("t", "out"), ("plain", "out")])
+        return graph_from_edges([("key", "t"), ("t", "out"), ("plain", "out")])
 
     def test_direct_edge_checking(self):
         policy = TwoLevelPolicy(secret_resources=["key"])
@@ -85,7 +85,7 @@ class TestCheckPolicy:
             check_policy(self._graph(), object())  # type: ignore[arg-type]
 
     def test_self_loops_are_ignored(self):
-        graph = FlowGraph.from_edges([("key", "key")])
+        graph = graph_from_edges([("key", "key")])
         policy = TwoLevelPolicy(secret_resources=["key"])
         assert check_policy(graph, policy) == []
 
